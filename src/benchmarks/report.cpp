@@ -462,16 +462,10 @@ Table1Report merge_reports(const std::vector<Table1Report>& reports) {
 
 // --- Serve-mode benchmarking --------------------------------------------------
 
-double ServeBenchReport::mean_batch() const {
-  return batches == 0 ? 0.0
-                      : static_cast<double>(fused_requests) /
-                            static_cast<double>(batches);
-}
-
 std::string to_json(const ServeBenchReport& report) {
   std::string out = "{\n";
   out += "  \"schema\": \"punt-serve-bench\",\n";
-  out += "  \"version\": 1,\n";
+  out += "  \"version\": 2,\n";
   out += "  \"transport\": \"" + util::json_escape(report.transport) + "\",\n";
   out += printf_string("  \"clients\": %zu,\n", report.clients);
   out += printf_string("  \"duration_seconds\": %.17g,\n", report.duration_seconds);
@@ -486,19 +480,9 @@ std::string to_json(const ServeBenchReport& report) {
   out += printf_string("  \"p95_ms\": %.17g,\n", report.p95_ms);
   out += printf_string("  \"p99_ms\": %.17g,\n", report.p99_ms);
   out += printf_string("  \"max_ms\": %.17g,\n", report.max_ms);
-  out += printf_string("  \"batch_window_ms\": %.17g,\n", report.batch_window_ms);
-  out += printf_string("  \"batches\": %zu,\n", report.batches);
-  out += printf_string("  \"fused_requests\": %zu,\n", report.fused_requests);
-  out += printf_string("  \"mean_batch\": %.17g,\n", report.mean_batch());
-  out += printf_string("  \"max_batch\": %zu,\n", report.max_batch);
   out += printf_string("  \"queue_high_water\": %zu,\n", report.queue_high_water);
-  out += printf_string("  \"daemon_shed\": %zu,\n", report.daemon_shed);
-  out += "  \"batch_size_histogram\": [";
-  for (std::size_t i = 0; i < report.batch_size_histogram.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += printf_string("%zu", report.batch_size_histogram[i]);
-  }
-  out += "]\n}\n";
+  out += printf_string("  \"daemon_shed\": %zu\n", report.daemon_shed);
+  out += "}\n";
   return out;
 }
 
@@ -513,14 +497,14 @@ ServeBenchReport serve_report_from_json(std::string_view text) {
                      util::json_string(root, "schema", kServeDocument) +
                      "'; expected 'punt-serve-bench'");
   }
-  if (util::json_count(root, "version", kServeDocument) != 1) {
+  if (util::json_count(root, "version", kServeDocument) != 2) {
     throw ParseError("unsupported punt-serve-bench version " +
                      std::to_string(util::json_count(root, "version", kServeDocument)) +
-                     "; this build reads version 1");
+                     "; this build reads version 2");
   }
   ServeBenchReport report;
-  // "transport" arrived with the TCP listener; absent means a pre-transport
-  // (necessarily Unix-socket) artifact, so the version stays 1.
+  // "transport" arrived with the TCP listener; absent means a Unix-socket
+  // run.
   const JsonValue* transport = root.find("transport");
   if (transport != nullptr) {
     if (transport->type != JsonValue::Type::String) {
@@ -541,22 +525,8 @@ ServeBenchReport serve_report_from_json(std::string_view text) {
   report.p95_ms = util::json_number(root, "p95_ms", kServeDocument);
   report.p99_ms = util::json_number(root, "p99_ms", kServeDocument);
   report.max_ms = util::json_number(root, "max_ms", kServeDocument);
-  report.batch_window_ms = util::json_number(root, "batch_window_ms", kServeDocument);
-  report.batches = util::json_count(root, "batches", kServeDocument);
-  report.fused_requests = util::json_count(root, "fused_requests", kServeDocument);
-  report.max_batch = util::json_count(root, "max_batch", kServeDocument);
   report.queue_high_water = util::json_count(root, "queue_high_water", kServeDocument);
   report.daemon_shed = util::json_count(root, "daemon_shed", kServeDocument);
-  const JsonValue& histogram =
-      util::json_require(root, "batch_size_histogram", JsonValue::Type::Array,
-                         kServeDocument);
-  report.batch_size_histogram.reserve(histogram.array.size());
-  for (const JsonValue& bucket : histogram.array) {
-    if (bucket.type != JsonValue::Type::Number || bucket.number < 0) {
-      throw ParseError("serve-bench JSON batch_size_histogram entries must be counts");
-    }
-    report.batch_size_histogram.push_back(static_cast<std::size_t>(bucket.number));
-  }
   return report;
 }
 
@@ -573,21 +543,8 @@ std::string format_serve_summary(const ServeBenchReport& report) {
       "latency mean %.2fms p50 %.2fms p95 %.2fms p99 %.2fms max %.2fms\n",
       report.mean_ms, report.p50_ms, report.p95_ms, report.p99_ms, report.max_ms);
   // `shed=N` is deliberately greppable: the CI smoke job asserts shed=0.
-  out += printf_string(
-      "fusion: window %.1fms, %zu batch(es), mean %.2f max %zu, "
-      "queue high-water %zu, shed=%zu\n",
-      report.batch_window_ms, report.batches, report.mean_batch(),
-      report.max_batch, report.queue_high_water,
-      report.shed + report.daemon_shed);
-  out += "batch-size histogram:";
-  bool any_bucket = false;
-  for (std::size_t i = 0; i < report.batch_size_histogram.size(); ++i) {
-    if (report.batch_size_histogram[i] == 0) continue;
-    any_bucket = true;
-    out += printf_string(" %zu:%zu", i + 1, report.batch_size_histogram[i]);
-  }
-  if (!any_bucket) out += " (empty)";
-  out += "\n";
+  out += printf_string("admission: queue high-water %zu, shed=%zu\n",
+                       report.queue_high_water, report.shed + report.daemon_shed);
   return out;
 }
 

@@ -461,7 +461,7 @@ std::exception_ptr entry_failure(const util::TaskGraph& graph, const EntryPlan& 
 
 }  // namespace
 
-BatchResult synthesize_batch(std::span<const BatchRequest> requests,
+BatchResult synthesize_batch(std::span<const stg::Stg> stgs,
                              const BatchOptions& options) {
   Stopwatch wall;
   // A resident executor (the daemon's) wins over the per-call jobs policy:
@@ -470,29 +470,27 @@ BatchResult synthesize_batch(std::span<const BatchRequest> requests,
   Executor& executor = options.executor != nullptr ? *options.executor : local;
   BatchResult batch;
   batch.jobs = executor.jobs();
-  batch.entries.resize(requests.size());
+  batch.entries.resize(stgs.size());
 
   // The union graph: every entry's nodes over one executor, so signals of
   // different STGs interleave freely.
   util::TaskGraph graph;
-  std::vector<EntryPlan> plans(requests.size());
+  std::vector<EntryPlan> plans(stgs.size());
 
   // With a cache, the first entry of each (STG, model options) key builds
   // the model and in-batch repeats depend on that build: duplicate entries
   // resolve as completed-entry hits instead of parking a worker on an
-  // in-flight future, and distinct keys reach the workers first.  The key
-  // covers only the model-affecting options, so two entries that differ in
-  // e.g. architecture still share one model node.
+  // in-flight future, and distinct keys reach the workers first.
   std::unordered_map<std::string, util::TaskGraph::NodeId> first_by_key;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    plans[i].stg = requests[i].stg;
+  for (std::size_t i = 0; i < stgs.size(); ++i) {
+    plans[i].stg = &stgs[i];
     bool repeat_key = false;
     std::vector<util::TaskGraph::NodeId> model_deps;
     if (options.cache != nullptr || options.ledger != nullptr) {
       // Computed once per entry: the same text keys the in-batch dedup here,
       // the model node's cache lookup (via EntryPlan), and the ledger's
       // cost-identity digests.
-      plans[i].cache_key = ModelCache::key_of(*requests[i].stg, requests[i].synthesis);
+      plans[i].cache_key = ModelCache::key_of(stgs[i], options.synthesis);
     }
     if (options.cache != nullptr) {
       const std::string& key = plans[i].cache_key;
@@ -503,11 +501,11 @@ BatchResult synthesize_batch(std::span<const BatchRequest> requests,
         plans[i].has_primary = true;
         plans[i].primary_model_node = it->second;
       }
-      emit_entry(graph, plans[i], requests[i].synthesis, options.cache, options.ledger,
+      emit_entry(graph, plans[i], options.synthesis, options.cache, options.ledger,
                  repeat_key, std::move(model_deps));
       if (inserted) it->second = plans[i].model_node;
     } else {
-      emit_entry(graph, plans[i], requests[i].synthesis, options.cache, options.ledger,
+      emit_entry(graph, plans[i], options.synthesis, options.cache, options.ledger,
                  false, {});
     }
   }
@@ -539,7 +537,7 @@ BatchResult synthesize_batch(std::span<const BatchRequest> requests,
     }
   }
 
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  for (std::size_t i = 0; i < stgs.size(); ++i) {
     BatchEntry& entry = batch.entries[i];
     if (auto failure = entry_failure(graph, plans[i])) {
       entry.exception = failure;
@@ -557,7 +555,7 @@ BatchResult synthesize_batch(std::span<const BatchRequest> requests,
     } else {
       // Defensive: an unassembled entry without a recorded failure would be
       // an executor bug; report it rather than hand back an empty result.
-      entry.error = "internal error: entry '" + requests[i].stg->name() +
+      entry.error = "internal error: entry '" + stgs[i].name() +
                     "' was cancelled without a recorded failure";
       ++batch.failures;
     }
@@ -566,16 +564,6 @@ BatchResult synthesize_batch(std::span<const BatchRequest> requests,
   if (options.trace != nullptr) *options.trace = graph.trace();
   batch.wall_seconds = wall.seconds();
   return batch;
-}
-
-BatchResult synthesize_batch(std::span<const stg::Stg> stgs,
-                             const BatchOptions& options) {
-  std::vector<BatchRequest> requests(stgs.size());
-  for (std::size_t i = 0; i < stgs.size(); ++i) {
-    requests[i].stg = &stgs[i];
-    requests[i].synthesis = options.synthesis;
-  }
-  return synthesize_batch(std::span<const BatchRequest>(requests), options);
 }
 
 }  // namespace punt::core

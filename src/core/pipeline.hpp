@@ -251,20 +251,4 @@ struct BatchResult {
 BatchResult synthesize_batch(std::span<const stg::Stg> stgs,
                              const BatchOptions& options = {});
 
-/// One entry of a mixed-options batch: an STG plus its own full option set.
-/// This is the shape the serve daemon's request fusion needs — requests that
-/// arrive inside one batching window may differ in method/arch/minimise yet
-/// must still share one union graph (and, because the ModelCache key covers
-/// only the model-affecting options, one model node whenever those agree).
-struct BatchRequest {
-  const stg::Stg* stg = nullptr;  // not owned; must outlive the call
-  SynthesisOptions synthesis;
-};
-
-/// The mixed-options batch front end.  Identical scheduling and failure
-/// semantics to the uniform overload (which delegates here);
-/// `options.synthesis` is ignored — each entry carries its own.
-BatchResult synthesize_batch(std::span<const BatchRequest> requests,
-                             const BatchOptions& options = {});
-
 }  // namespace punt::core

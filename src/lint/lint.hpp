@@ -17,7 +17,7 @@
 //
 // lint_errors() is the admission fast path: it runs the parser plus ONLY
 // the error-capable structural rules (rules.hpp run_error_rules) and keeps
-// the Error-severity findings, so `server::prepare_synth` refuses a
+// the Error-severity findings, so `server::run_synth` refuses a
 // structurally broken spec without paying for the warning-tier fixed points
 // — refusal severities never depend on caller flags, only on the catalog's
 // defaults, and the findings are byte-identical to a full pass's errors.

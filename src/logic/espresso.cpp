@@ -143,10 +143,11 @@ Cover espresso(const Cover& on, const Cover& blocking, MinimizeStats* stats,
   f = irredundant(f, dc);
   std::size_t best_cost = cost(f);
   std::size_t iterations = 0;
-  for (; iterations < options.max_iterations; ++iterations) {
+  while (iterations < options.max_iterations) {
     Cover candidate = reduce(f, dc);
     candidate = expand(candidate, blocking);
     candidate = irredundant(candidate, dc);
+    ++iterations;  // every round run counts, improving or not
     if (cost(candidate) >= best_cost) break;
     best_cost = cost(candidate);
     f = std::move(candidate);

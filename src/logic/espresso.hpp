@@ -24,6 +24,9 @@ struct MinimizeStats {
   std::size_t initial_literals = 0;
   std::size_t final_cubes = 0;
   std::size_t final_literals = 0;
+  /// REDUCE/EXPAND/IRREDUNDANT refinement rounds run, including the last,
+  /// non-improving one that ends the loop: 1 when the first round already
+  /// finds no cheaper cover, 0 only when max_iterations is 0.
   std::size_t iterations = 0;
 };
 

@@ -7,6 +7,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "src/server/protocol.hpp"
 #include "src/server/service.hpp"
 #include "src/util/error.hpp"
+#include "src/util/strings.hpp"
 
 namespace punt::server {
 namespace {
@@ -44,13 +46,6 @@ Server::Server(ServerOptions options)
   if (!options_.model_cache_dir.empty()) {
     ledger_.load(core::CostLedger::path_in(options_.model_cache_dir));
   }
-  if (options_.batch_window_ms > 0) {
-    BatcherOptions batcher;
-    batcher.window_seconds = options_.batch_window_ms / 1000.0;
-    batcher.max_queue = options_.max_queue;
-    batcher.max_per_connection = options_.max_inflight_per_connection;
-    batcher_ = std::make_unique<Batcher>(batcher, cache_.get(), &executor_, &ledger_);
-  }
   // Self-pipe for the accept loop: non-blocking (a full pipe must not block
   // a finishing handler — one unread byte is wake enough) and CLOEXEC.
   if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
@@ -60,9 +55,7 @@ Server::Server(ServerOptions options)
 
 Server::~Server() {
   listener_->close_fd();
-  if (batcher_ != nullptr) batcher_->begin_drain();
   reap_connections(true);
-  if (batcher_ != nullptr) batcher_->drain();
   for (int& fd : wake_fds_) {
     if (fd >= 0) {
       ::close(fd);
@@ -159,13 +152,8 @@ void Server::serve() {
   }
   // Drain: no new connections; every accepted request runs to completion
   // (its graph finishes on the resident pool) before the socket goes away.
-  // The Batcher flushes first (queued items dispatch without waiting out
-  // the window) but keeps admitting and serving while the handlers that
-  // feed it are joined; only then is it fully drained.
   listener_->close_fd();
-  if (batcher_ != nullptr) batcher_->begin_drain();
   reap_connections(true);
-  if (batcher_ != nullptr) batcher_->drain();
   // Republish whatever the daemon learned about node costs while it served
   // (atomic rename; racing daemons sharing the dir last-writer-win) so the
   // next process — daemon or direct CLI — starts with a warm cost model.
@@ -207,8 +195,6 @@ void Server::reap_connections(bool all) {
 
 void Server::handle_connection(int fd, bool authenticate) {
   active_connections_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t connection =
-      next_connection_id_.fetch_add(1, std::memory_order_relaxed);
   if (authenticate) {
     // Handshake first, under its own (tighter) deadline: an off-host
     // connection has proven nothing yet and gets no unbounded patience.
@@ -270,33 +256,21 @@ void Server::handle_connection(int fd, bool authenticate) {
       Request request = request_from_json(payload);
       switch (request.op) {
         case Op::Synth:
-          if (batcher_ != nullptr) {
-            // Fused path: block here (the handler thread is the natural
-            // per-request wait context) while the dispatcher folds this
-            // request into a union batch with whatever else the window
-            // catches.  Shed work comes back ok=false and the `!ok` exit
-            // below closes the connection, per the protocol contract.
-            response = batcher_->submit(prepare_synth(std::move(request)), connection);
-          } else {
-            response = run_synth(request, cache_.get(), &executor_, &ledger_);
-          }
+          // Shed work comes back ok=false and the `!ok` exit below closes
+          // the connection, per the protocol contract.
+          response = admit_synth(request);
           break;
         case Op::Check:
-          // Deliberately inline, not fused: the check's stdout embeds its
-          // own request-scoped cache delta ("built N time(s)"), which a
-          // shared batch delta would corrupt.
           response = run_check(request, *cache_, &executor_, /*summarize_cache=*/true,
                                &ledger_);
           break;
         case Op::Lint:
-          // Inline like check (the request carries a whole client batch
-          // already — its files fan out on the resident executor inside the
-          // handler, and the appended cache delta is request-scoped).
+          // The request carries a whole client batch already: its files fan
+          // out on the resident executor inside the handler.
           response = run_lint(request, *cache_, &executor_, &ledger_);
           break;
         case Op::CacheStats: {
           response.ok = true;
-          const BatcherStats fused = batcher_stats();
           ServeInfo info;
           info.requests_served = requests_served();
           info.jobs = executor_.jobs();
@@ -307,9 +281,9 @@ void Server::handle_connection(int fd, bool authenticate) {
           info.connections = connections_accepted();
           info.auth_failures = auth_failures();
           info.idle_timeouts = idle_timeouts();
-          info.batch_window_ms = options_.batch_window_ms;
-          response.output = cache_stats_json(cache_->stats(), info,
-                                             batcher_ != nullptr ? &fused : nullptr);
+          info.queue_high_water = synth_high_water();
+          info.shed_queue_full = shed_queue_full();
+          response.output = cache_stats_json(cache_->stats(), info);
           break;
         }
         case Op::Ping:
@@ -343,6 +317,30 @@ void Server::handle_connection(int fd, bool authenticate) {
   // The fd is closed by the reaper after this thread is joined — closing it
   // here would race the drain's ::shutdown() against kernel fd reuse.
   active_connections_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+Response Server::admit_synth(const Request& request) {
+  {
+    std::lock_guard<std::mutex> lock(admission_mutex_);
+    if (synth_in_flight_ >= options_.max_queue) {
+      ++shed_queue_full_;
+      Response refusal;
+      refusal.error = printf_string(
+          "overloaded: %zu synth request(s) already in flight; retry later, "
+          "or serve with a larger --max-queue",
+          synth_in_flight_);
+      return refusal;
+    }
+    synth_high_water_ = std::max(synth_high_water_, ++synth_in_flight_);
+  }
+  struct Release {
+    Server& server;
+    ~Release() {
+      std::lock_guard<std::mutex> lock(server.admission_mutex_);
+      --server.synth_in_flight_;
+    }
+  } release{*this};
+  return run_synth(request, cache_.get(), &executor_, &ledger_);
 }
 
 }  // namespace punt::server

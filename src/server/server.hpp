@@ -13,24 +13,22 @@
 // wake, so an idle daemon sleeps indefinitely yet stop/reap requests are
 // honoured immediately) hands each connection to its own thread; every
 // connection thread parses frames, dispatches into server/service.hpp over
-// the *shared* cache and executor, and writes response frames.  Synth
-// requests are not executed inline: with a nonzero batch window they are
-// submitted to the Batcher (server/batcher.hpp), which fuses whatever
-// arrives within the window into ONE union synthesize_batch graph — so
-// concurrent clients share scheduling the way `punt bench run` entries do —
-// and sheds excess load with an explicit "overloaded" refusal instead of
-// buffering without bound.  Synthesis graphs of concurrent batches
-// interleave on the one pool — the TaskGraph contract that any number of
-// graphs may execute over one pool is exactly what makes this safe at a
-// fixed worker budget.
+// the *shared* cache and executor, and writes response frames.  Every
+// request — synth included — runs inline on its connection thread: the
+// paper synthesises each signal of each STG on its own, so merging
+// concurrent clients' requests buys nothing (DESIGN.md §9 has the A/B).
+// Synthesis graphs of concurrent requests interleave on the one pool — the
+// TaskGraph contract that any number of graphs may execute over one pool is
+// exactly what makes this safe at a fixed worker budget.  One admission
+// bound caps the synth requests in flight (`--max-queue`); a request past
+// it is refused with an explicit "overloaded" error instead of queueing
+// without bound.
 //
 // Lifecycle: serve() accepts until stop is requested — by a client
 // {"op":"shutdown"} (acknowledged before the drain begins) or by
 // request_stop() (the CLI's SIGTERM/SIGINT handler).  It then stops
-// accepting, puts the Batcher into flush mode (queued work dispatches
-// without waiting out the window), joins every in-flight connection thread
-// (each finishes its request; nothing is aborted mid-graph — admitted fused
-// work completes too), drains the Batcher, unlinks the socket and returns.
+// accepting, joins every in-flight connection thread (each finishes its
+// request; nothing is aborted mid-graph), unlinks the socket and returns.
 #pragma once
 
 #include <atomic>
@@ -45,8 +43,8 @@
 #include "src/core/cost_ledger.hpp"
 #include "src/core/model_cache.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/server/batcher.hpp"
 #include "src/server/endpoint.hpp"
+#include "src/server/protocol.hpp"
 
 namespace punt::server {
 
@@ -60,15 +58,9 @@ struct ServerOptions {
   std::size_t jobs = 1;         // executor width; 0 = hardware default
   std::string model_cache_dir;  // optional disk tier under the resident cache
   std::size_t cache_capacity = core::ModelCache::kDefaultCapacity;
-  /// Request-fusion accumulation window (`--batch-window`).  0 disables the
-  /// Batcher entirely: synth requests execute inline on their connection
-  /// threads, exactly the pre-fusion daemon.
-  double batch_window_ms = 2.0;
-  /// Admission-queue depth bound (`--max-queue`); beyond it synth requests
-  /// are shed with an "overloaded" refusal.  Ignored when the window is 0.
+  /// Admission bound (`--max-queue`): the most synth requests in flight at
+  /// once; beyond it a synth request is shed with an "overloaded" refusal.
   std::size_t max_queue = 256;
-  /// Per-connection in-flight cap.  Ignored when the window is 0.
-  std::size_t max_inflight_per_connection = 8;
   /// Per-write() SO_SNDTIMEO on every connection (`--send-timeout`), so a
   /// client that stops reading cannot pin its handler — and therefore the
   /// shutdown drain — forever.  Must be positive.
@@ -121,10 +113,15 @@ class Server {
   core::CostLedger& ledger() { return ledger_; }
   std::size_t jobs() const { return executor_.jobs(); }
 
-  /// Snapshot of the request-fusion counters (zeros when the daemon runs
-  /// with batch_window_ms == 0, i.e. without a Batcher).
-  BatcherStats batcher_stats() const {
-    return batcher_ != nullptr ? batcher_->stats() : BatcherStats{};
+  /// Most synth requests in flight at once since start().
+  std::size_t synth_high_water() const {
+    std::lock_guard<std::mutex> lock(admission_mutex_);
+    return synth_high_water_;
+  }
+  /// Synth requests refused by the `--max-queue` bound.
+  std::size_t shed_queue_full() const {
+    std::lock_guard<std::mutex> lock(admission_mutex_);
+    return shed_queue_full_;
   }
 
   /// Requests fully handled (response frame written) since start().
@@ -159,6 +156,10 @@ class Server {
   /// receive deadlines — before the first request frame.
   void handle_connection(int fd, bool authenticate);
 
+  /// Runs one synth request under the admission bound: inline when a slot
+  /// is free, otherwise an ok=false "overloaded: ..." refusal.
+  Response admit_synth(const Request& request);
+
   /// Joins finished connection threads (all of them when `all`, otherwise
   /// just the ones whose handler already returned) and closes their fds.
   /// The `all` drain first half-closes every connection's read side, so a
@@ -183,12 +184,8 @@ class Server {
   /// Measured node costs driving dispatch order (DESIGN.md §10).  Always
   /// resident — online self-tuning needs no disk — and additionally
   /// persisted beside the model cache when a cache dir is configured.
-  /// Declared before the Batcher that borrows it.
   core::CostLedger ledger_;
   core::Executor executor_;
-  /// Created only when batch_window_ms > 0.  Declared after the cache and
-  /// executor it borrows, so it is destroyed (and drained) first.
-  std::unique_ptr<Batcher> batcher_;
   /// The transport behind the accept loop (endpoint.hpp); owns the listen
   /// fd and whatever the transport holds beyond it (Unix: socket file +
   /// path lock).  Never null after construction.
@@ -203,7 +200,12 @@ class Server {
   std::atomic<std::size_t> connections_accepted_{0};
   std::atomic<std::size_t> auth_failures_{0};
   std::atomic<std::size_t> idle_timeouts_{0};
-  std::atomic<std::uint64_t> next_connection_id_{1};  // scopes the in-flight cap
+  /// The admission semaphore: synth requests in flight (never above
+  /// options_.max_queue), the most ever in flight, and the refusals.
+  mutable std::mutex admission_mutex_;
+  std::size_t synth_in_flight_ = 0;
+  std::size_t synth_high_water_ = 0;
+  std::size_t shed_queue_full_ = 0;
   std::mutex connections_mutex_;
   std::vector<Connection> connections_;
 };

@@ -9,7 +9,6 @@
 #include "src/core/pipeline.hpp"
 #include "src/core/synthesis.hpp"
 #include "src/lint/lint.hpp"
-#include "src/server/batcher.hpp"
 #include "src/util/diagnostics.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/stg/g_format.hpp"
@@ -23,26 +22,6 @@ namespace {
 // Non-truncating (util/strings.hpp): an STG name or diagnostic longer than
 // any stack buffer must still match the direct CLI's printf byte for byte.
 using punt::printf_string;
-
-core::SynthesisOptions options_of(const Request& request) {
-  core::SynthesisOptions options;
-  if (request.method == "exact") {
-    options.method = core::Method::UnfoldingExact;
-  } else if (request.method == "sg") {
-    options.method = core::Method::StateGraph;
-  } else {
-    options.method = core::Method::UnfoldingApprox;
-  }
-  if (request.arch == "c") {
-    options.architecture = core::Architecture::StandardC;
-  } else if (request.arch == "rs") {
-    options.architecture = core::Architecture::RsLatch;
-  } else {
-    options.architecture = core::Architecture::ComplexGate;
-  }
-  options.minimize = request.minimize;
-  return options;
-}
 
 /// Runs one STG through the pipeline on the (possibly resident) executor
 /// and rethrows the entry's own typed exception on failure — the shape the
@@ -82,94 +61,74 @@ void append_cache_summary(Response& response, const core::ModelCache* cache,
 
 }  // namespace
 
-SynthJob prepare_synth(Request request) {
-  SynthJob job;
-  job.request = std::move(request);
-  // Admission control: the error-severity lint rules run before any parse
-  // throw or model construction, so a structurally broken spec is refused
-  // with every defect rendered (rule ids, line:column spans, hints) and
-  // never reaches the batcher, the ModelCache or the executor.  Lint errors
-  // are a strict subset of what parse_g/validate reject, so this gate never
-  // refuses a spec direct `punt synth` would accept.
-  const std::vector<util::Diagnostic> defects = lint::lint_errors(job.request.g_text);
-  if (!defects.empty()) {
-    job.failure.ok = true;
-    job.failure.log = util::render_diagnostics(defects, job.request.g_text, "request.g") +
-                      printf_string("error: specification refused by lint: %zu defect(s)\n",
-                                    defects.size());
-    job.failure.exit_code = 2;
-    return job;
+core::SynthesisOptions options_of(const Request& request) {
+  core::SynthesisOptions options;
+  if (request.method == "exact") {
+    options.method = core::Method::UnfoldingExact;
+  } else if (request.method == "sg") {
+    options.method = core::Method::StateGraph;
+  } else {
+    options.method = core::Method::UnfoldingApprox;
   }
-  try {
-    job.stg = stg::parse_g(job.request.g_text);
-    job.options = options_of(job.request);
-    job.ok = true;
-  } catch (const Error& e) {
-    // Dynamic rejections lint cannot see statically (initial-code inference
-    // inconsistencies, capacity limits): same diagnostic (and exit code) a
-    // direct `punt synth` prints; render_synth is never reached for this job.
-    job.failure.ok = true;
-    job.failure.log = printf_string("error: %s\n", e.what());
-    job.failure.exit_code = 2;
+  if (request.arch == "c") {
+    options.architecture = core::Architecture::StandardC;
+  } else if (request.arch == "rs") {
+    options.architecture = core::Architecture::RsLatch;
+  } else {
+    options.architecture = core::Architecture::ComplexGate;
   }
-  return job;
+  options.minimize = request.minimize;
+  return options;
 }
 
-Response render_synth(const SynthJob& job, const core::BatchEntry& entry) {
-  if (!job.ok) return job.failure;
-  Response response;
-  response.ok = true;
-  try {
-    if (!entry.ok) {
-      // Rethrow the entry's own typed exception so the catch blocks below
-      // render exactly what an inline run would have.
-      if (entry.exception) std::rethrow_exception(entry.exception);
-      throw Error(entry.error);
-    }
-    const core::SynthesisResult& result = entry.result;
-    const stg::Stg& stg = job.stg;
-    const net::Netlist netlist = net::Netlist::from_synthesis(stg, result);
-
-    // Byte-for-byte the stdout of a direct `punt synth` (tools/punt_cli.cpp
-    // cmd_synth); the server_test and the CI smoke job compare the two.
-    response.output += printf_string("# %s: %zu signals, %zu literals\n",
-                                   stg.name().c_str(), stg.signal_count(),
-                                   netlist.literal_count());
-    response.output += printf_string(
-        "# unfold %.4fs derive %.4fs minimise %.4fs total %.4fs\n",
-        result.unfold_seconds, result.derive_seconds, result.minimize_seconds,
-        result.total_seconds);
-    const bool any_writer = job.request.eqn || job.request.verilog;
-    if (job.request.eqn || !any_writer) response.output += netlist.to_eqn();
-    if (job.request.verilog) response.output += netlist.to_verilog(stg.name());
-    response.exit_code = 0;
-  } catch (const CscError& e) {
-    response.log += printf_string("CSC conflict: %s\n(try `punt resolve`)\n", e.what());
-    response.exit_code = 2;
-  } catch (const Error& e) {
-    response.log += printf_string("error: %s\n", e.what());
-    response.exit_code = 2;
-  }
-  return response;
+std::string synth_output(const stg::Stg& stg, const core::SynthesisResult& result,
+                         bool eqn, bool verilog) {
+  const net::Netlist netlist = net::Netlist::from_synthesis(stg, result);
+  std::string output = printf_string("# %s: %zu signals, %zu literals\n",
+                                     stg.name().c_str(), stg.signal_count(),
+                                     netlist.literal_count());
+  output += printf_string("# unfold %.4fs derive %.4fs minimise %.4fs total %.4fs\n",
+                          result.unfold_seconds, result.derive_seconds,
+                          result.minimize_seconds, result.total_seconds);
+  if (eqn) output += netlist.to_eqn();
+  if (verilog) output += netlist.to_verilog(stg.name());
+  return output;
 }
 
 Response run_synth(const Request& request, core::ModelCache* cache,
                    core::Executor* executor, core::CostLedger* ledger) {
   const core::ModelCacheStats before = snapshot(cache);
-  SynthJob job = prepare_synth(request);
   Response response;
-  if (!job.ok) {
-    response = job.failure;
+  response.ok = true;
+  // Admission control: the error-severity lint rules run before any parse
+  // throw or model construction, so a structurally broken spec is refused
+  // with every defect rendered (rule ids, line:column spans, hints) and
+  // never reaches the ModelCache or the executor.  Lint errors are a strict
+  // subset of what parse_g/validate reject, so this gate never refuses a
+  // spec direct `punt synth` would accept.
+  const std::vector<util::Diagnostic> defects = lint::lint_errors(request.g_text);
+  if (!defects.empty()) {
+    response.log = util::render_diagnostics(defects, request.g_text, "request.g") +
+                   printf_string("error: specification refused by lint: %zu defect(s)\n",
+                                 defects.size());
+    response.exit_code = 2;
   } else {
-    core::BatchOptions batch_options;
-    batch_options.jobs = 1;  // executor (when given) supersedes this
-    batch_options.cache = cache;
-    batch_options.executor = executor;
-    batch_options.ledger = ledger;
-    const core::BatchRequest one{&job.stg, job.options};
-    const core::BatchResult batch = core::synthesize_batch(
-        std::span<const core::BatchRequest>(&one, 1), batch_options);
-    response = render_synth(job, batch.entries.front());
+    // Byte-for-byte the stdout and stderr of a direct `punt synth`; the
+    // server_test and the CI smoke job compare the two.
+    try {
+      const stg::Stg stg = stg::parse_g(request.g_text);
+      const core::SynthesisResult result =
+          synthesize_on(stg, options_of(request), cache, executor, ledger);
+      response.output = synth_output(stg, result, request.eqn || !request.verilog,
+                                     request.verilog);
+      response.exit_code = 0;
+    } catch (const CscError& e) {
+      response.log = printf_string("CSC conflict: %s\n(try `punt resolve`)\n", e.what());
+      response.exit_code = 2;
+    } catch (const Error& e) {
+      response.log = printf_string("error: %s\n", e.what());
+      response.exit_code = 2;
+    }
   }
   append_cache_summary(response, cache, before);
   return response;
@@ -273,11 +232,7 @@ Response run_lint(const Request& request, core::ModelCache& cache,
   return response;
 }
 
-std::string cache_stats_json(const core::ModelCacheStats& stats,
-                             const ServeInfo& info, const BatcherStats* batcher) {
-  // The fusion counters report zeros when the daemon runs unfused
-  // (--batch-window=0): field presence must not depend on configuration.
-  const BatcherStats fused = batcher != nullptr ? *batcher : BatcherStats{};
+std::string cache_stats_json(const core::ModelCacheStats& stats, const ServeInfo& info) {
   std::string out = "{\n";
   out += "  \"schema\": \"punt-serve-stats\",\n";
   out += "  \"version\": 3,\n";
@@ -302,21 +257,18 @@ std::string cache_stats_json(const core::ModelCacheStats& stats,
   out += printf_string("  \"disk_load_errors\": %zu,\n", stats.disk_load_errors);
   out += printf_string("  \"disk_stores\": %zu,\n", stats.disk_stores);
   out += printf_string("  \"disk_store_failures\": %zu,\n", stats.disk_store_failures);
-  out += printf_string("  \"batch_window_ms\": %.17g,\n", info.batch_window_ms);
-  out += printf_string("  \"admitted\": %zu,\n", fused.admitted);
-  out += printf_string("  \"batches\": %zu,\n", fused.batches);
-  out += printf_string("  \"fused_requests\": %zu,\n", fused.fused_requests);
-  out += printf_string("  \"mean_batch\": %.17g,\n", fused.mean_batch());
-  out += printf_string("  \"max_batch\": %zu,\n", fused.max_batch);
-  out += printf_string("  \"queue_high_water\": %zu,\n", fused.queue_high_water);
-  out += printf_string("  \"shed_queue_full\": %zu,\n", fused.shed_queue_full);
-  out += printf_string("  \"shed_connection_cap\": %zu,\n", fused.shed_connection_cap);
-  out += "  \"batch_size_histogram\": [";
-  for (std::size_t i = 0; i < fused.batch_size_histogram.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += printf_string("%zu", fused.batch_size_histogram[i]);
-  }
-  out += "]\n";
+  // The request-fusion fields: always zero (requests run inline), kept
+  // because consumers require them.
+  out += "  \"batch_window_ms\": 0,\n";
+  out += "  \"admitted\": 0,\n";
+  out += "  \"batches\": 0,\n";
+  out += "  \"fused_requests\": 0,\n";
+  out += "  \"mean_batch\": 0,\n";
+  out += "  \"max_batch\": 0,\n";
+  out += printf_string("  \"queue_high_water\": %zu,\n", info.queue_high_water);
+  out += printf_string("  \"shed_queue_full\": %zu,\n", info.shed_queue_full);
+  out += "  \"shed_connection_cap\": 0,\n";
+  out += "  \"batch_size_histogram\": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n";
   out += "}\n";
   return out;
 }

@@ -23,52 +23,33 @@ class CostLedger;
 class Executor;
 class ModelCache;
 struct ModelCacheStats;
-struct BatchEntry;
 }  // namespace punt::core
 
 namespace punt::server {
 
-struct BatcherStats;  // batcher.hpp; forward-declared to avoid a cycle
+/// The synthesis options a synth request's method/arch/minimize fields
+/// select — the one mapping from flags to options, shared by the daemon
+/// and the direct CLI (which parses its flags into a Request first).
+core::SynthesisOptions options_of(const Request& request);
 
-/// Handles {"op":"synth"}.  `cache` (nullable) resolves phase 1; when given,
-/// the per-request cache delta summary is appended to the response log —
-/// the line a `--connect` client streams to its stderr.  `executor`
+/// The stdout of `punt synth` for one synthesised STG: the "# name: ..."
+/// and "# unfold ..." header lines, then the .eqn body when `eqn` and the
+/// Verilog module when `verilog`.  The one renderer behind both the direct
+/// CLI and run_synth, so their bytes cannot drift apart.
+std::string synth_output(const stg::Stg& stg, const core::SynthesisResult& result,
+                         bool eqn, bool verilog);
+
+/// Handles {"op":"synth"}: lint admission, parse, synthesis, render — the
+/// same stdout a direct `punt synth` prints and, on failure, the same
+/// diagnostic and exit code.  `cache` (nullable) resolves phase 1; when
+/// given, the per-request cache delta summary is appended to the response
+/// log — the line a `--connect` client streams to its stderr.  `executor`
 /// (nullable) runs the graph; the daemon passes its resident one, a null
 /// falls back to an inline single-job run.  `ledger` (nullable) orders
 /// dispatch by learned node costs and absorbs this request's measured ones —
 /// the daemon passes its resident, self-tuning table.
 Response run_synth(const Request& request, core::ModelCache* cache,
                    core::Executor* executor, core::CostLedger* ledger = nullptr);
-
-/// One synth request decoded as far as it can be *before* batch execution:
-/// the parsed STG and its per-entry SynthesisOptions — the
-/// core::BatchRequest shape the daemon's request fusion feeds into one
-/// union graph — or, when parsing failed, the fully rendered failure
-/// response.  Splitting run_synth into prepare (here) + render (below)
-/// around the batch boundary is what lets N fused requests share one
-/// synthesize_batch call and still answer byte-identically to N direct CLI
-/// invocations.
-struct SynthJob {
-  Request request;
-  stg::Stg stg;                    // meaningful only when ok
-  core::SynthesisOptions options;  // meaningful only when ok
-  bool ok = false;
-  Response failure;  // rendered (exit 2, CLI diagnostic) when !ok
-};
-
-/// Parses the request's .g text and maps its method/arch flags; never
-/// throws — an unparseable request comes back with ok=false and `failure`
-/// carrying exactly the Response run_synth would have produced (minus the
-/// cache summary line, which the caller appends).
-SynthJob prepare_synth(Request request);
-
-/// Renders the response for a prepared job from its executed batch entry:
-/// the same bytes run_synth produces for the same request, so fused and
-/// inline execution are indistinguishable to clients.  Never throws; entry
-/// failures re-surface as the CLI's stderr diagnostics with exit code 2.
-/// The caller appends the cache summary line (per request when inline, per
-/// fused batch in the dispatcher).
-Response render_synth(const SynthJob& job, const core::BatchEntry& entry);
 
 /// Handles {"op":"check"} — and IS the direct `punt check` implementation
 /// (tools/punt_cli.cpp prints the returned output/log verbatim), so the
@@ -100,9 +81,9 @@ Response run_lint(const Request& request, core::ModelCache& cache,
                   core::Executor* executor, core::CostLedger* ledger = nullptr);
 
 /// The daemon-identity slice of the {"op":"cache-stats"} payload: who is
-/// serving (transport, listen address, worker count) and the connection
+/// serving (transport, listen address, worker count), the connection
 /// ledger (accepted / refused-at-handshake / idle-timed-out) the TCP
-/// transport introduced in v3.
+/// transport introduced in v3, and the synth admission counters.
 struct ServeInfo {
   std::size_t requests_served = 0;
   std::size_t jobs = 0;
@@ -112,18 +93,16 @@ struct ServeInfo {
   std::size_t connections = 0;     // accepted since start()
   std::size_t auth_failures = 0;   // TCP handshakes refused
   std::size_t idle_timeouts = 0;   // connections closed by the idle deadline
-  double batch_window_ms = 0;
+  std::size_t queue_high_water = 0;  // most synth requests in flight at once
+  std::size_t shed_queue_full = 0;   // synth requests refused by --max-queue
 };
 
 /// The {"op":"cache-stats"} payload: resident two-tier counters plus the
-/// server identity/connection fields and the request-fusion counters
-/// ("punt-serve-stats" schema, version 3 — v3 added transport, listen,
-/// connections, auth_failures and idle_timeouts; every v2 field is
-/// unchanged, so v2 consumers keep working by ignoring the additions).
-/// `batcher` is null when the daemon runs with `--batch-window=0` (no
-/// fusion); the fusion fields are then emitted as zeros so the schema is
-/// stable for consumers like `punt bench serve`.
-std::string cache_stats_json(const core::ModelCacheStats& stats,
-                             const ServeInfo& info, const BatcherStats* batcher);
+/// server identity, connection and admission fields ("punt-serve-stats"
+/// schema, version 3).  The request-fusion fields — batch_window_ms,
+/// admitted, batches, fused_requests, mean/max_batch, shed_connection_cap
+/// and the batch-size histogram — are always zero, since the daemon runs
+/// every request inline, and stay because consumers require them.
+std::string cache_stats_json(const core::ModelCacheStats& stats, const ServeInfo& info);
 
 }  // namespace punt::server

@@ -222,6 +222,26 @@ TEST(Espresso, PaperExampleAPlusC) {
   EXPECT_EQ(stats.final_literals, 2u);
 }
 
+TEST(Espresso, IterationsCountEveryRefinementRound) {
+  // EXPAND and IRREDUNDANT alone already reach a + c on the paper's
+  // example, so the one REDUCE/EXPAND/IRREDUNDANT round that follows finds
+  // nothing cheaper and ends the loop: one round ran, and it is counted.
+  Cover on(3), off(3);
+  for (const char* s : {"100", "101", "110", "111", "001", "011"}) {
+    on.add(Cube::from_string(s));
+  }
+  for (const char* s : {"010", "000"}) off.add(Cube::from_string(s));
+  MinimizeStats stats;
+  const Cover min = espresso(on, off, &stats);
+  EXPECT_EQ(min.literal_count(), 2u);
+  EXPECT_EQ(stats.iterations, 1u);
+  // With the refinement loop switched off no round runs.
+  EspressoOptions no_rounds;
+  no_rounds.max_iterations = 0;
+  (void)espresso(on, off, &stats, no_rounds);
+  EXPECT_EQ(stats.iterations, 0u);
+}
+
 TEST(Espresso, OffsetExampleNotAC) {
   // C_Off of the same example: {010, 000} -> a'c'.
   Cover on(3), off(3);

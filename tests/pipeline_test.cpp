@@ -422,68 +422,29 @@ TEST(Pipeline, LatchMinStatsAggregateSetAndReset) {
   }
 }
 
-TEST(Pipeline, MixedOptionsBatchMatchesIndividualSynthesis) {
-  // The per-entry-options overload (what serve-mode fusion feeds): entries
-  // differing in method and architecture fuse into one union graph yet come
-  // out identical to running each alone with its own options.
-  const Stg fig1 = stg::make_paper_fig1();
-  const Stg muller = stg::make_muller_pipeline(3);
-  std::vector<BatchRequest> requests(4);
-  requests[0].stg = &fig1;
-  requests[0].synthesis.method = Method::UnfoldingApprox;
-  requests[1].stg = &fig1;
-  requests[1].synthesis.method = Method::StateGraph;
-  requests[2].stg = &muller;
-  requests[2].synthesis.architecture = Architecture::StandardC;
-  requests[3].stg = &muller;
-  requests[3].synthesis.architecture = Architecture::RsLatch;
-
-  BatchOptions options;
-  options.jobs = 4;
-  const BatchResult batch =
-      synthesize_batch(std::span<const BatchRequest>(requests), options);
-  ASSERT_EQ(batch.entries.size(), requests.size());
-  ASSERT_EQ(batch.failures, 0u);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SynthesisResult direct =
-        synthesize(*requests[i].stg, requests[i].synthesis);
-    expect_identical(direct, batch.entries[i].result,
-                     "mixed-options entry " + std::to_string(i));
-  }
-}
-
 TEST(Pipeline, DifferingArchitectureEntriesShareOneModelBuild) {
-  // The cache key covers only model-affecting options, so fused entries
+  // The cache key covers only model-affecting options, so uniform batches
   // that diverge downstream (architecture) still dedup to one phase-1
-  // build — the fusion win served traffic is after.
-  const Stg stg = stg::make_paper_fig1();
-  std::vector<BatchRequest> requests(3);
-  requests[0].stg = &stg;
-  requests[0].synthesis.architecture = Architecture::ComplexGate;
-  requests[1].stg = &stg;
-  requests[1].synthesis.architecture = Architecture::StandardC;
-  requests[2].stg = &stg;
-  requests[2].synthesis.architecture = Architecture::RsLatch;
-
+  // build through a shared cache — what the serve daemon's resident cache
+  // relies on across requests.
+  const std::vector<Stg> stgs = {stg::make_paper_fig1()};
   ModelCache cache;
   BatchOptions options;
   options.jobs = 2;
   options.cache = &cache;
-  const BatchResult batch =
-      synthesize_batch(std::span<const BatchRequest>(requests), options);
-  ASSERT_EQ(batch.failures, 0u);
+  for (const Architecture architecture :
+       {Architecture::ComplexGate, Architecture::StandardC, Architecture::RsLatch}) {
+    options.synthesis.architecture = architecture;
+    ASSERT_EQ(synthesize_batch(stgs, options).failures, 0u);
+  }
   const ModelCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u) << "one model build serves all architectures";
   EXPECT_EQ(stats.hits, 2u);
-  // And the model *kind* DOES affect the key: a state-graph entry must not
+  // And the model *kind* DOES affect the key: a state-graph batch must not
   // reuse the unfolding segment.  (Exact and approx unfolding deliberately
   // share one — they consume the same segment.)
-  std::vector<BatchRequest> sg(1);
-  sg[0].stg = &stg;
-  sg[0].synthesis.method = Method::StateGraph;
-  const BatchResult second =
-      synthesize_batch(std::span<const BatchRequest>(sg), options);
-  ASSERT_EQ(second.failures, 0u);
+  options.synthesis.method = Method::StateGraph;
+  ASSERT_EQ(synthesize_batch(stgs, options).failures, 0u);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 

@@ -460,13 +460,8 @@ TEST(Report, ServeBenchJsonRoundTripPreservesEveryField) {
   report.p95_ms = 120.5;
   report.p99_ms = 250.75;
   report.max_ms = 612.0;
-  report.batch_window_ms = 2;
-  report.batches = 17;
-  report.fused_requests = 119;
-  report.max_batch = 8;
   report.queue_high_water = 9;
   report.daemon_shed = 3;
-  report.batch_size_histogram = {1, 0, 4, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 0};
 
   const ServeBenchReport parsed = serve_report_from_json(to_json(report));
   EXPECT_EQ(parsed.transport, "tcp");
@@ -483,26 +478,19 @@ TEST(Report, ServeBenchJsonRoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(parsed.p95_ms, report.p95_ms);
   EXPECT_DOUBLE_EQ(parsed.p99_ms, report.p99_ms);
   EXPECT_DOUBLE_EQ(parsed.max_ms, report.max_ms);
-  EXPECT_DOUBLE_EQ(parsed.batch_window_ms, report.batch_window_ms);
-  EXPECT_EQ(parsed.batches, report.batches);
-  EXPECT_EQ(parsed.fused_requests, report.fused_requests);
-  EXPECT_EQ(parsed.max_batch, report.max_batch);
   EXPECT_EQ(parsed.queue_high_water, report.queue_high_water);
   EXPECT_EQ(parsed.daemon_shed, report.daemon_shed);
-  EXPECT_EQ(parsed.batch_size_histogram, report.batch_size_histogram);
-  EXPECT_DOUBLE_EQ(parsed.mean_batch(), report.mean_batch());
 
   // The human summary exposes the CI-greppable shed counter (client-side
-  // plus daemon-side) and the nonzero histogram buckets.
+  // plus daemon-side) and the admission high-water mark.
   const std::string summary = format_serve_summary(report);
   EXPECT_NE(summary.find("shed=6"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("8:12"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("queue high-water 9"), std::string::npos) << summary;
   EXPECT_NE(summary.find("tcp transport"), std::string::npos) << summary;
 }
 
 TEST(Report, ServeBenchWithoutATransportFieldParsesAsUnix) {
-  // Artifacts produced before the TCP transport carry no "transport" key;
-  // they must keep parsing (version 1 is additive) and default to "unix".
+  // A report without a "transport" key is a Unix-socket run.
   ServeBenchReport report;
   report.clients = 2;
   report.duration_seconds = 1;
@@ -526,6 +514,10 @@ TEST(Report, ServeBenchFromJsonRejectsForeignPayloads) {
   EXPECT_THROW(
       (void)serve_report_from_json(R"({"schema": "punt-serve-bench", "version": 2})"),
       ParseError);
+  // Version 1 carried request-fusion counters and is not read.
+  std::string fused = to_json(ServeBenchReport{});
+  fused.replace(fused.find("\"version\": 2"), 12, "\"version\": 1");
+  EXPECT_THROW((void)serve_report_from_json(fused), ParseError);
   // A Table-1 report is a valid punt JSON document but the wrong schema.
   Table1Report table;
   table.registry_size = table1().size();

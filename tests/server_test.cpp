@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -589,8 +590,8 @@ TEST(Server, LintRefusesBrokenSpecsBeforeAdmission) {
 
   // A structurally broken spec (duplicate declaration = error-severity lint
   // finding) is refused by the admission gate with the full lint rendering —
-  // rule id, line:column, caret — and never reaches the batcher, while a
-  // concurrent valid request is served normally.
+  // rule id, line:column, caret — and never reaches the model cache, while
+  // a concurrent valid request is served normally.
   Request broken;
   broken.op = Op::Synth;
   broken.g_text =
@@ -611,9 +612,9 @@ TEST(Server, LintRefusesBrokenSpecsBeforeAdmission) {
 
   EXPECT_EQ(valid.exit_code, 0);
   EXPECT_NE(valid.output.find("literals"), std::string::npos);
-  // Only the valid request was admitted into the batcher; the refused one
-  // was answered pre-admission.
-  EXPECT_EQ(running.server.batcher_stats().admitted, 1u);
+  // Only the valid request reached the resident cache; the refused one was
+  // answered by the lint gate.
+  EXPECT_EQ(running.server.cache().stats().builds, 1u);
 }
 
 TEST(Server, MalformedAndOversizedFramesDoNotKillTheServer) {
@@ -662,31 +663,27 @@ TEST(Server, MalformedAndOversizedFramesDoNotKillTheServer) {
   EXPECT_EQ(pong.output, "pong\n");
 }
 
-TEST(Server, ClientsInOneWindowFuseIntoOneUnionBatch) {
-  TempDir dir("fuse");
+TEST(Server, ConcurrentClientsOnOneSpecShareOneModelBuild) {
+  TempDir dir("share");
   const std::string socket = dir.str() + "/punt.sock";
   ServerOptions options;
   options.endpoint = unix_endpoint(socket);
   options.jobs = 2;
-  options.batch_window_ms = 1000;  // generous: absorbs CI scheduling skew
   RunningServer running(options);
 
-  // Two distinct STGs, each requested twice, all inside one window: the
-  // daemon must run them as ONE union graph — one model build per distinct
-  // key — and still answer each client byte-identically to a direct run.
-  const std::vector<Stg> stgs = {stg::make_paper_fig1(), stg::make_paper_fig1(),
-                                 stg::make_muller_pipeline(3),
-                                 stg::make_muller_pipeline(3)};
-  std::vector<std::string> expected;
-  for (const Stg& stg : stgs) expected.push_back(direct_synth_output(stg));
-
+  // Two distinct STGs, each requested by three clients at once: every
+  // request runs inline on its own connection, yet the resident cache
+  // builds each distinct model once — the other requests join that build
+  // or hit its result — and every client gets the same bytes.
+  const std::vector<Stg> stgs = {stg::make_paper_fig1(), stg::make_muller_pipeline(3)};
+  constexpr std::size_t kClientsPerStg = 3;
   std::vector<std::thread> clients;
-  std::vector<Response> got(stgs.size());
+  std::vector<Response> got(stgs.size() * kClientsPerStg);
   std::atomic<int> failures{0};
-  for (std::size_t i = 0; i < stgs.size(); ++i) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
     clients.emplace_back([&, i] {
       try {
-        got[i] = request_once(socket, synth_request(stgs[i]));
+        got[i] = request_once(socket, synth_request(stgs[i % stgs.size()]));
       } catch (const Error&) {
         failures.fetch_add(1);
       }
@@ -697,18 +694,13 @@ TEST(Server, ClientsInOneWindowFuseIntoOneUnionBatch) {
 
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].exit_code, 0) << got[i].log;
-    EXPECT_EQ(strip_timing(got[i].output), expected[i])
-        << "fused client " << i << " diverged from the direct invocation";
-    // Each member carries the fused batch's cache-delta summary.
-    EXPECT_NE(got[i].log.find("2 rebuild(s)"), std::string::npos) << got[i].log;
+    EXPECT_EQ(strip_timing(got[i].output), strip_timing(got[i % stgs.size()].output))
+        << "client " << i << " diverged from its first peer on the same spec";
+    EXPECT_EQ(strip_timing(got[i].output), direct_synth_output(stgs[i % stgs.size()]));
   }
-  const BatcherStats stats = running.server.batcher_stats();
-  EXPECT_EQ(stats.batches, 1u) << "the window should have fused all four";
-  EXPECT_EQ(stats.fused_requests, 4u);
-  EXPECT_EQ(stats.max_batch, 4u);
-  EXPECT_EQ(stats.shed(), 0u);
-  // One phase-1 build per distinct STG, not per request.
-  EXPECT_EQ(running.server.cache().stats().builds, 2u);
+  const core::ModelCacheStats stats = running.server.cache().stats();
+  EXPECT_EQ(stats.builds, stgs.size()) << "one phase-1 build per distinct STG";
+  EXPECT_EQ(stats.hits, got.size() - stgs.size());
 }
 
 TEST(Server, OverloadedSynthRequestsAreShedAtTheSocket) {
@@ -716,45 +708,62 @@ TEST(Server, OverloadedSynthRequestsAreShedAtTheSocket) {
   const std::string socket = dir.str() + "/punt.sock";
   ServerOptions options;
   options.endpoint = unix_endpoint(socket);
-  options.batch_window_ms = 30000;  // park admitted work until the drain
   options.max_queue = 1;
   RunningServer running(options);
 
-  // Client A fills the queue (blocks until the shutdown drain flushes it).
-  std::thread client_a([&] {
-    const Response response = request_once(socket, synth_request(stg::make_paper_fig1()));
-    EXPECT_EQ(response.exit_code, 0) << response.log;
+  // Pin the model of the spec in flight in the resident cache, so synth
+  // request A joins that build and holds the one admission slot until the
+  // latch opens.  The key is the one the daemon computes from A's text.
+  const Request request = synth_request(stg::make_paper_fig1());
+  const Stg served = stg::parse_g(request.g_text);
+  const core::SynthesisOptions synthesis = options_of(request);
+  std::latch building(1);
+  std::latch release(1);
+  std::thread holder([&] {
+    (void)running.server.cache().lookup_or_build_keyed(
+        core::ModelCache::key_of(served, synthesis), [&] {
+          building.count_down();
+          release.wait();
+          return core::SemanticModel::build(served, synthesis);
+        });
   });
-  while (running.server.batcher_stats().admitted == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  building.wait();
+  Response first;
+  std::thread client_a([&] { first = request_once(socket, request); });
+  while (running.server.synth_high_water() == 0) std::this_thread::yield();
 
   // Client B is refused with the protocol-level "overloaded" error — which
-  // the Client surfaces as a throw, exactly like any other refusal.
+  // the Client surfaces as a throw, exactly like any other refusal.  (No
+  // fatal assertion before the latch opens: A must never be left parked.)
   try {
-    (void)request_once(socket, synth_request(stg::make_paper_fig1()));
-    FAIL() << "the second synth request must be shed";
+    (void)request_once(socket, request);
+    ADD_FAILURE() << "the second synth request must be shed";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("overloaded"), std::string::npos) << e.what();
   }
-  EXPECT_EQ(running.server.batcher_stats().shed_queue_full, 1u);
-
+  EXPECT_EQ(running.server.shed_queue_full(), 1u);
   // A non-synth request still gets through: shedding is admission control
   // on synthesis work, not a dead daemon.
   EXPECT_EQ(request_once(socket, Request{}).output, "pong\n");
 
-  // The shutdown drain completes A's admitted request.
-  running.server.request_stop();
-  running.thread.join();
+  // Opening the latch completes A, whose model came from the pinned build.
+  release.count_down();
+  holder.join();
   client_a.join();
-  EXPECT_EQ(running.server.batcher_stats().admitted, 1u);
+  EXPECT_EQ(first.exit_code, 0) << first.log;
+  EXPECT_EQ(strip_timing(first.output), direct_synth_output(stg::make_paper_fig1()));
+  EXPECT_EQ(running.server.cache().stats().builds, 1u);
+  // The slot is free again.
+  EXPECT_EQ(request_once(socket, request).exit_code, 0);
+  EXPECT_EQ(running.server.shed_queue_full(), 1u);
+  EXPECT_EQ(running.server.synth_high_water(), 1u);
 }
 
-TEST(Server, CacheStatsReportsFusionCounters) {
+TEST(Server, CacheStatsCarriesEveryFieldItsConsumersRead) {
   TempDir dir("fstats");
   const std::string socket = dir.str() + "/punt.sock";
   ServerOptions options;
-  options.endpoint = unix_endpoint(socket);  // default 2ms window
+  options.endpoint = unix_endpoint(socket);
   RunningServer running(options);
 
   const Stg stg = stg::make_paper_fig1();
@@ -767,39 +776,22 @@ TEST(Server, CacheStatsReportsFusionCounters) {
   const util::JsonValue root = util::parse_json(stats.output);
   EXPECT_EQ(util::json_string(root, "schema", "stats"), "punt-serve-stats");
   EXPECT_EQ(util::json_count(root, "version", "stats"), 3u);
-  EXPECT_EQ(util::json_number(root, "batch_window_ms", "stats"), 2.0);
-  EXPECT_GE(util::json_count(root, "admitted", "stats"), 2u);
-  EXPECT_GE(util::json_count(root, "batches", "stats"), 1u);
-  EXPECT_GE(util::json_count(root, "fused_requests", "stats"), 2u);
+  // The admission counters are live: two sequential synth requests were
+  // never in flight together, and nothing was shed.
+  EXPECT_EQ(util::json_count(root, "queue_high_water", "stats"), 1u);
   EXPECT_EQ(util::json_count(root, "shed_queue_full", "stats"), 0u);
+  // The request-fusion fields stay in the schema, always zero, because
+  // consumers still require them.
+  EXPECT_EQ(util::json_number(root, "batch_window_ms", "stats"), 0.0);
+  for (const char* field : {"admitted", "batches", "fused_requests", "max_batch",
+                            "shed_connection_cap"}) {
+    EXPECT_EQ(util::json_count(root, field, "stats"), 0u) << field;
+  }
+  EXPECT_EQ(util::json_number(root, "mean_batch", "stats"), 0.0);
   const util::JsonValue* histogram = root.find("batch_size_histogram");
   ASSERT_NE(histogram, nullptr);
   EXPECT_EQ(histogram->type, util::JsonValue::Type::Array);
-  EXPECT_EQ(histogram->array.size(), BatcherStats::kHistogramBuckets);
-}
-
-TEST(Server, ZeroWindowDisablesFusionButKeepsTheStatsSchema) {
-  TempDir dir("nofuse");
-  const std::string socket = dir.str() + "/punt.sock";
-  ServerOptions options;
-  options.endpoint = unix_endpoint(socket);
-  options.batch_window_ms = 0;  // the pre-fusion daemon
-  RunningServer running(options);
-
-  const Response synth = request_once(socket, synth_request(stg::make_paper_fig1()));
-  EXPECT_EQ(synth.exit_code, 0);
-
-  Request stats_request;
-  stats_request.op = Op::CacheStats;
-  const Response stats = request_once(socket, stats_request);
-  const util::JsonValue root = util::parse_json(stats.output);
-  // Same schema, fusion counters pinned to zero — consumers need not care
-  // how the daemon was started.
-  EXPECT_EQ(util::json_count(root, "version", "stats"), 3u);
-  EXPECT_EQ(util::json_number(root, "batch_window_ms", "stats"), 0.0);
-  EXPECT_EQ(util::json_count(root, "batches", "stats"), 0u);
-  EXPECT_EQ(util::json_count(root, "fused_requests", "stats"), 0u);
-  EXPECT_EQ(running.server.batcher_stats().admitted, 0u);
+  EXPECT_EQ(histogram->array.size(), 16u);
 }
 
 TEST(Server, GracefulShutdownDrainsInFlightWork) {

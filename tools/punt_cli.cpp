@@ -59,15 +59,14 @@
 //                                  measured-cost error table
 //   punt bench serve [--connect=<endpoint>] [--listen=tcp[://addr:port]]
 //                    [--token-file=<file>] [--clients=K] [--duration=S]
-//                    [--jobs=N] [--batch-window=MS] [--max-queue=N]
-//                    [--no-warmup] [--json=<file>]
+//                    [--jobs=N] [--max-queue=N] [--no-warmup] [--json=<file>]
 //                                  closed-loop load generator against a serve
 //                                  daemon (self-spawned in-process unless
 //                                  --connect; --listen=tcp self-spawns over
 //                                  loopback TCP with a throwaway token, so
 //                                  the latency gate covers the network
 //                                  transport): p50/p95/p99 latency,
-//                                  throughput, fused-batch histogram, shed
+//                                  throughput, admission high-water and shed
 //                                  count; --json writes the punt-serve-bench
 //                                  report
 //   punt cache stats --model-cache-dir=<dir>
@@ -78,16 +77,15 @@
 //                                  delete every persisted model in the dir
 //   punt serve (--socket=<path> | --listen=tcp://<addr>:<port>
 //              --token-file=<file>) [--jobs=N] [--model-cache-dir=<dir>]
-//              [--batch-window=MS] [--max-queue=N] [--send-timeout=S]
+//              [--max-queue=N] [--send-timeout=S]
 //              [--handshake-timeout=S] [--idle-timeout=S]
 //                                  run the warm-model daemon: one resident
 //                                  ModelCache + thread pool across requests;
-//                                  concurrent synth requests arriving within
-//                                  the batch window fuse into one union task
-//                                  graph (0 disables fusion), and load beyond
-//                                  --max-queue is shed with an "overloaded"
-//                                  refusal; SIGTERM (or a client
-//                                  `punt shutdown`) drains admitted work and
+//                                  each request runs on its connection's
+//                                  thread, and a synth request beyond
+//                                  --max-queue in flight is shed with an
+//                                  "overloaded" refusal; SIGTERM (or a client
+//                                  `punt shutdown`) drains in-flight work and
 //                                  exits cleanly.  A TCP listener requires
 //                                  --token-file: every TCP connection must
 //                                  pass an HMAC-SHA256 challenge–response
@@ -125,7 +123,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -136,8 +136,6 @@
 #include <csignal>
 #include <exception>
 #include <thread>
-
-#include <unistd.h>
 
 #include "src/benchmarks/loadgen.hpp"
 #include "src/benchmarks/registry.hpp"
@@ -157,7 +155,6 @@
 #include "src/server/protocol.hpp"
 #include "src/server/server.hpp"
 #include "src/server/service.hpp"
-#include "src/netlist/netlist.hpp"
 #include "src/sg/analysis.hpp"
 #include "src/sg/state_graph.hpp"
 #include "src/stg/dot.hpp"
@@ -194,20 +191,17 @@ int usage() {
                "  punt trace <trace.json>\n"
                "  punt bench serve [--connect=<endpoint>] [--listen=tcp[://addr:port]]\n"
                "                   [--token-file=<file>] [--clients=K] [--duration=S]\n"
-               "                   [--jobs=N] [--batch-window=MS] [--max-queue=N]\n"
-               "                   [--no-warmup] [--json=<file>]\n"
+               "                   [--jobs=N] [--max-queue=N] [--no-warmup] [--json=<file>]\n"
                "  punt cache stats --model-cache-dir=<dir> | --connect=<endpoint>\n"
                "  punt cache purge --model-cache-dir=<dir>\n"
                "  punt serve (--socket=<path> | --listen=tcp://<addr>:<port>\n"
                "             --token-file=<file>) [--jobs=N] [--model-cache-dir=<dir>]\n"
-               "             [--batch-window=MS] [--max-queue=N] [--send-timeout=S]\n"
+               "             [--max-queue=N] [--send-timeout=S]\n"
                "             [--handshake-timeout=S] [--idle-timeout=S]\n"
                "  punt ping --connect=<endpoint>\n"
                "  punt shutdown --connect=<endpoint>\n"
                "(--jobs: worker threads; 0 = one per hardware thread)\n"
-               "(--batch-window: serve-mode fusion window in ms; synth requests\n"
-               " arriving together run as ONE union task graph; 0 = no fusion)\n"
-               "(--max-queue: admitted-but-unstarted request bound; excess synth\n"
+               "(--max-queue: bound on synth requests in flight; excess synth\n"
                " requests are refused with an 'overloaded' error)\n"
                "(--shard=i/n: registry entries at positions p with p %% n == i,\n"
                " or balanced by measured per-entry cost with --weights — a prior\n"
@@ -247,22 +241,6 @@ std::size_t parse_jobs(const std::string& value) {
                       std::to_string(kMaxJobs));
   }
   return static_cast<std::size_t>(jobs);
-}
-
-/// Non-negative millisecond values (--batch-window, fractional OK).
-double parse_millis(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const double millis = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() || !(millis >= 0)) {
-    throw punt::Error(std::string("invalid ") + flag + " value '" + value +
-                      "'; expected a non-negative number of milliseconds");
-  }
-  constexpr double kMaxMillis = 60'000;
-  if (millis > kMaxMillis) {
-    throw punt::Error(std::string(flag) + "=" + value +
-                      " exceeds the maximum of 60000 (one minute)");
-  }
-  return millis;
 }
 
 /// Positive integer counts with a named bound (--max-queue, --clients).
@@ -305,35 +283,40 @@ double parse_timeout_seconds(const std::string& value, const char* flag) {
   return seconds;
 }
 
-punt::core::SynthesisOptions parse_options(const std::vector<std::string>& args) {
-  punt::core::SynthesisOptions options;
-  for (const std::string& arg : args) {
-    if (arg == "--method=approx") {
-      options.method = punt::core::Method::UnfoldingApprox;
-    } else if (arg == "--method=exact") {
-      options.method = punt::core::Method::UnfoldingExact;
-    } else if (arg == "--method=sg") {
-      options.method = punt::core::Method::StateGraph;
-    } else if (arg == "--arch=acg") {
-      options.architecture = punt::core::Architecture::ComplexGate;
-    } else if (arg == "--arch=c") {
-      options.architecture = punt::core::Architecture::StandardC;
-    } else if (arg == "--arch=rs") {
-      options.architecture = punt::core::Architecture::RsLatch;
-    } else if (arg == "--no-minimize") {
-      options.minimize = false;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = parse_jobs(arg.substr(7));
-    }
-  }
-  return options;
-}
-
 bool has_flag(const std::vector<std::string>& args, const char* flag) {
   for (const std::string& arg : args) {
     if (arg == flag) return true;
   }
   return false;
+}
+
+/// The synthesis flags as a synth Request: the one parser of --method,
+/// --arch, --no-minimize, --eqn and --verilog, shared by --connect
+/// delegation and (through server::options_of) the direct path.  Values
+/// outside the listed choices are ignored, leaving the default.
+punt::server::Request synth_request(const std::vector<std::string>& args) {
+  punt::server::Request request;
+  request.op = punt::server::Op::Synth;
+  for (const std::string& arg : args) {
+    if (arg == "--method=approx" || arg == "--method=exact" || arg == "--method=sg") {
+      request.method = arg.substr(9);
+    } else if (arg == "--arch=acg" || arg == "--arch=c" || arg == "--arch=rs") {
+      request.arch = arg.substr(7);
+    } else if (arg == "--no-minimize") {
+      request.minimize = false;
+    }
+  }
+  request.eqn = has_flag(args, "--eqn");
+  request.verilog = has_flag(args, "--verilog");
+  return request;
+}
+
+punt::core::SynthesisOptions parse_options(const std::vector<std::string>& args) {
+  punt::core::SynthesisOptions options = punt::server::options_of(synth_request(args));
+  for (const std::string& arg : args) {
+    if (arg.rfind("--jobs=", 0) == 0) options.jobs = parse_jobs(arg.substr(7));
+  }
+  return options;
 }
 
 /// The payload of `--trace-schedule=<file>`, or empty when absent.
@@ -531,20 +514,8 @@ void reject_direct_only_flags(const std::vector<std::string>& args) {
 
 int delegate_synth(const ConnectTarget& target, const std::string& path,
                    const std::vector<std::string>& args) {
-  punt::server::Request request;
-  request.op = punt::server::Op::Synth;
+  punt::server::Request request = synth_request(args);
   request.g_text = read_file(path);
-  for (const std::string& arg : args) {
-    if (arg == "--method=approx") request.method = "approx";
-    else if (arg == "--method=exact") request.method = "exact";
-    else if (arg == "--method=sg") request.method = "sg";
-    else if (arg == "--arch=acg") request.arch = "acg";
-    else if (arg == "--arch=c") request.arch = "c";
-    else if (arg == "--arch=rs") request.arch = "rs";
-    else if (arg == "--no-minimize") request.minimize = false;
-  }
-  request.eqn = has_flag(args, "--eqn");
-  request.verilog = has_flag(args, "--verilog");
   return run_client(target, request);
 }
 
@@ -574,19 +545,15 @@ int cmd_synth(const std::string& path, const std::vector<std::string>& args) {
   const punt::core::SynthesisResult result = punt::core::synthesize(
       stg, options, cache.get(), trace_path.empty() ? nullptr : &trace, ledger.get());
   if (!trace_path.empty()) dump_trace(trace, trace_path);
-  const punt::net::Netlist netlist = punt::net::Netlist::from_synthesis(stg, result);
-
-  std::printf("# %s: %zu signals, %zu literals\n", stg.name().c_str(),
-              stg.signal_count(), netlist.literal_count());
-  std::printf("# unfold %.4fs derive %.4fs minimise %.4fs total %.4fs\n",
-              result.unfold_seconds, result.derive_seconds, result.minimize_seconds,
-              result.total_seconds);
-  const bool any_writer = has_flag(args, "--eqn") || has_flag(args, "--verilog") ||
-                          has_flag(args, "--dot") || has_flag(args, "--unfolding-dot");
-  if (has_flag(args, "--eqn") || !any_writer) std::printf("%s", netlist.to_eqn().c_str());
-  if (has_flag(args, "--verilog")) {
-    std::printf("%s", netlist.to_verilog(stg.name()).c_str());
-  }
+  // The same renderer run_synth answers --connect clients with; .eqn is
+  // the default body unless some writer flag was given.
+  const punt::server::Request flags = synth_request(args);
+  const bool other_writer = has_flag(args, "--dot") || has_flag(args, "--unfolding-dot");
+  std::fputs(punt::server::synth_output(stg, result,
+                                        flags.eqn || !(flags.verilog || other_writer),
+                                        flags.verilog)
+                 .c_str(),
+             stdout);
   if (has_flag(args, "--dot")) std::printf("%s", punt::stg::to_dot(stg).c_str());
   if (has_flag(args, "--unfolding-dot")) {
     std::printf("%s", punt::unf::to_dot(punt::unf::Unfolding::build(stg)).c_str());
@@ -1145,8 +1112,6 @@ int cmd_serve(const std::vector<std::string>& args) {
       options.jobs = parse_jobs(arg.substr(7));
     } else if (arg.rfind("--model-cache-dir=", 0) == 0) {
       options.model_cache_dir = model_cache_dir({arg});  // shares the validation
-    } else if (arg.rfind("--batch-window=", 0) == 0) {
-      options.batch_window_ms = parse_millis(arg.substr(15), "--batch-window");
     } else if (arg.rfind("--max-queue=", 0) == 0) {
       options.max_queue = parse_positive_count(arg.substr(12), "--max-queue", 65536);
     } else if (arg.rfind("--send-timeout=", 0) == 0) {
@@ -1188,7 +1153,7 @@ int cmd_serve(const std::vector<std::string>& args) {
                       "holding the shared auth token (the daemon refuses to "
                       "serve the network unauthenticated)");
   }
-  const double window_ms = options.batch_window_ms;
+  const std::size_t max_queue = options.max_queue;
   punt::server::Server server(std::move(options));
   server.start();
   // RAII so an error path (serve() throwing) also detaches the handlers
@@ -1207,15 +1172,12 @@ int cmd_serve(const std::vector<std::string>& args) {
     }
   } signal_guard(&server);
   const punt::server::Endpoint& bound = server.endpoint();
-  std::fprintf(stderr, "punt serve: listening on %s%s, %zu job(s), %s%s%s\n",
+  std::fprintf(stderr, "punt serve: listening on %s%s, %zu job(s), queue %zu%s%s\n",
                bound.describe().c_str(),
                bound.transport == punt::server::Transport::Tcp
                    ? " (HMAC-authenticated)"
                    : "",
-               server.jobs(),
-               window_ms > 0
-                   ? punt::printf_string("%.1fms fusion window", window_ms).c_str()
-                   : "fusion off",
+               server.jobs(), max_queue,
                server.cache().store() != nullptr ? ", model cache dir " : "",
                server.cache().store() != nullptr
                    ? server.cache().store()->directory().c_str()
@@ -1350,9 +1312,6 @@ int cmd_bench_serve(const std::vector<std::string>& args) {
     } else if (arg.rfind("--jobs=", 0) == 0) {
       daemon.jobs = parse_jobs(arg.substr(7));
       daemon_flags = true;
-    } else if (arg.rfind("--batch-window=", 0) == 0) {
-      daemon.batch_window_ms = parse_millis(arg.substr(15), "--batch-window");
-      daemon_flags = true;
     } else if (arg.rfind("--max-queue=", 0) == 0) {
       daemon.max_queue = parse_positive_count(arg.substr(12), "--max-queue", 65536);
       daemon_flags = true;
@@ -1364,19 +1323,35 @@ int cmd_bench_serve(const std::vector<std::string>& args) {
   }
   if (!connect.empty() && daemon_flags) {
     throw punt::Error(
-        "--jobs/--batch-window/--max-queue/--listen configure the self-spawned "
+        "--jobs/--max-queue/--listen configure the self-spawned "
         "daemon; with --connect they belong to the already-running `punt serve`");
   }
 
   // Without --connect, spawn the daemon in-process on a private endpoint so
   // one command measures a fresh, correctly-configured server end to end.
+  // A Unix daemon binds inside a private directory (mode 0700, from
+  // mkdtemp); it keeps `<socket>.lock` by design, so the directory, lock
+  // included, is removed after the Server is destroyed — declared before
+  // it, the guard is destroyed after it.
+  struct SocketDir {
+    std::string path;
+    ~SocketDir() {
+      std::error_code ignored;
+      if (!path.empty()) std::filesystem::remove_all(path, ignored);
+    }
+  } socket_dir;
   std::unique_ptr<punt::server::Server> server;
   std::thread serve_thread;
   std::exception_ptr serve_error;
   if (connect.empty()) {
     if (listen.empty()) {
-      daemon.endpoint = punt::server::unix_endpoint(
-          "/tmp/punt-bench-serve-" + std::to_string(::getpid()) + ".sock");
+      char dir[] = "/tmp/punt-bench-serve-XXXXXX";
+      if (::mkdtemp(dir) == nullptr) {
+        throw punt::Error(std::string("cannot create a socket directory: ") +
+                          std::strerror(errno));
+      }
+      socket_dir.path = dir;
+      daemon.endpoint = punt::server::unix_endpoint(socket_dir.path + "/punt.sock");
     } else {
       // "tcp" shorthand: loopback, kernel-assigned port — the transport-
       // overhead measurement needs no pinned address.
@@ -1407,10 +1382,9 @@ int cmd_bench_serve(const std::vector<std::string>& args) {
       }
     });
     std::fprintf(stderr,
-                 "punt bench serve: in-process daemon on %s, %zu job(s), "
-                 "%.1fms window, queue %zu\n",
+                 "punt bench serve: in-process daemon on %s, %zu job(s), queue %zu\n",
                  server->endpoint().describe().c_str(), server->jobs(),
-                 daemon.batch_window_ms, daemon.max_queue);
+                 daemon.max_queue);
   } else {
     load.endpoint = punt::server::parse_endpoint(connect);
     if (!token_path.empty()) load.token = read_token_file(token_path);
